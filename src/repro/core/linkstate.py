@@ -463,6 +463,14 @@ class FrozenTree:
     receiver that needs to edit its copy materializes a mutable
     :class:`TopologyTable` with :meth:`thaw` first.
 
+    Consecutive snapshots of one sender share structure: :meth:`patched`
+    copies only the outer head map and gives each head an LSU touches a
+    fresh group, so every other per-head group dict is the *same object*
+    in both snapshots (and in every receiver holding either).  The rule
+    that keeps this safe is the same as for whole snapshots: a group
+    reachable from any snapshot is never written again — a change to a
+    head's links always builds a new group dict.
+
     Attributes:
         version: the sender's table version this snapshot captures.
         prev_version: the version the LSU entries were diffed against
@@ -521,7 +529,12 @@ class FrozenTree:
         applies_to_empty: bool,
         prev_flood: Mapping[NodeId, float],
     ) -> "FrozenTree":
-        """Freeze MTU's ``(dist, tree)`` result for flooding.
+        """Freeze a ``(dist, tree)`` shortest-path result in one pass.
+
+        The reference construction of a snapshot: the MTU tail builds
+        its snapshots itself (from Dijkstra's predecessor map after a
+        full recomputation, by :meth:`patched` after an incremental
+        one), and tests hold both to this function's result.
 
         ``dist`` may cover the sender's whole node universe; the
         snapshot keeps only the tree's nodes (all finite) plus the
@@ -558,6 +571,57 @@ class FrozenTree:
             by_head=by_head,
             nodes=flood,
             n_links=len(tree),
+        )
+
+    def patched(
+        self,
+        entries: Iterable[LinkEntry],
+        *,
+        version: int,
+        dist: dict[NodeId, float],
+        changed_rows: set[NodeId],
+    ) -> "FrozenTree":
+        """The sender's next snapshot: this one with ``entries`` applied.
+
+        Copy-on-write: the outer head map is copied, each head an entry
+        touches gets a new group dict, and every other group is shared
+        with ``self`` (see the class docstring).  ``entries`` must be a
+        tree diff against this snapshot (distinct links; ADD for a link
+        absent here, CHANGE/DELETE for one present); ``dist`` and
+        ``changed_rows`` are the new restricted distance view and its
+        row diff, which the caller already holds.
+        """
+        old_groups = self._by_head
+        fresh: dict[NodeId, dict[LinkId, float]] = {}
+        n_links = self._n_links
+        for entry in entries:
+            head = entry.head
+            group = fresh.get(head)
+            if group is None:
+                group = fresh[head] = dict(old_groups.get(head, _EMPTY_LINKS))
+            link = (head, entry.tail)
+            if entry.op is EntryOp.DELETE:
+                del group[link]
+                n_links -= 1
+            else:
+                if entry.op is EntryOp.ADD:
+                    n_links += 1
+                group[link] = entry.cost
+        by_head = dict(old_groups)
+        for head, group in fresh.items():
+            if group:
+                by_head[head] = group
+            else:
+                by_head.pop(head, None)
+        return FrozenTree(
+            version=version,
+            prev_version=self.version,
+            applies_to_empty=len(self.dist) == 1,
+            dist=dist,
+            changed_rows=changed_rows,
+            by_head=by_head,
+            nodes=dist,
+            n_links=n_links,
         )
 
     def as_full(self, root: NodeId) -> "FrozenTree":

@@ -83,6 +83,9 @@ class MPDARouter(PDARouter):
         #: set after each lowering/reset, cleared when MTU recomputes
         #: the distances it folds in.
         self._fd_clean = False
+        #: The destinations whose distance MTU moved since the last
+        #: lowering/reset, or None when every distance must be folded.
+        self._fd_moved: list[NodeId] | None = None
 
     def _note_rows_changed(self, destinations) -> None:
         if not self._dirty_all:
@@ -94,7 +97,10 @@ class MPDARouter(PDARouter):
         self._dirty_all = True
         super()._links_changed()
 
-    def _distances_recomputed(self) -> None:
+    def _distances_recomputed(self, moved) -> None:
+        # ``moved`` is relative to the previous MTU, so it covers every
+        # unfolded change only when that MTU's distances were folded.
+        self._fd_moved = moved if self._fd_clean else None
         self._fd_clean = False
 
     def _outstanding(self) -> bool:
@@ -188,13 +194,23 @@ class MPDARouter(PDARouter):
         Lowering only reads ``self.distances``; once it has run, it stays
         a no-op until MTU actually recomputes those distances (pure-ACK
         events leave them untouched), so ``_fd_clean`` short-circuits it.
+        Every lowering or reset leaves ``FD_j <= D_j`` for each finite
+        ``D_j``, so afterwards only the destinations MTU reports as moved
+        can need lowering; a from-scratch MTU reports None and the whole
+        distance map is folded.
         """
         if self._fd_clean and self.INCREMENTAL:
             return
         dirty = self._dirty_dests
         me = self.node_id
         feasible = self.feasible_distance
-        for j, d in self.distances.items():
+        distances = self.distances
+        moved = self._fd_moved
+        if moved is None or not self.INCREMENTAL:
+            items = distances.items()
+        else:
+            items = [(j, distances[j]) for j in moved]
+        for j, d in items:
             if j == me or d == INFINITY:
                 continue
             fd = feasible.get(j, INFINITY)

@@ -35,7 +35,11 @@ from repro.core.linkstate import (
     TopologyTable,
 )
 from repro.exceptions import RoutingError
-from repro.graph.shortest_paths import dijkstra, rank_nodes
+from repro.graph.shortest_paths import (
+    dijkstra,
+    rank_nodes,
+    update_shortest_paths,
+)
 from repro.graph.topology import NodeId
 
 #: Process-wide router identities.  ``id()`` would be ambiguous here:
@@ -123,15 +127,19 @@ class PDARouter:
         #: in ``neighbor_tables`` (absent = mutable or out-of-sync).
         self._nbr_versions: dict[NodeId, int] = {}
         #: MTU steps 3-4 state carried across runs: per-destination
-        #: preferred neighbor and its merged value, the candidate cost
-        #: map, and its adjacency.  Valid while ``_mtu_full`` is False;
+        #: preferred neighbor and its merged value, and the candidate
+        #: graph as out- and in-adjacency (``_radj[t][h]`` = cost of
+        #: ``h -> t``).  Valid while ``_mtu_full`` is False;
         #: ``_best_dirty`` lists destinations whose neighbor rows moved
         #: and ``_group_dirty`` the heads whose copied link group must
-        #: be re-sourced.
+        #: be re-sourced.  ``distances`` and ``_pred`` (Dijkstra's
+        #: predecessor map over the candidate graph) are carried too and
+        #: patched in place by the incremental tree update.
         self._best_val: dict[NodeId, float] = {}
         self._best_nbr: dict[NodeId, NodeId] = {}
-        self._cand: dict[tuple[NodeId, NodeId], float] = {}
         self._adj: dict[NodeId, list[tuple[NodeId, float]]] = {}
+        self._radj: dict[NodeId, dict[NodeId, float]] = {}
+        self._pred: dict[NodeId, NodeId | None] = {}
         self._best_dirty: set[NodeId] = set()
         self._group_dirty: set[NodeId] = set()
         #: The single neighbor all of ``_best_dirty`` came from, or None
@@ -315,8 +323,12 @@ class PDARouter:
         successor sets)."""
         self._mtu_full = True
 
-    def _distances_recomputed(self) -> None:
-        """Hook: MTU recomputed ``self.distances`` (MPDA re-arms FD)."""
+    def _distances_recomputed(self, moved) -> None:
+        """Hook: MTU recomputed ``self.distances`` (MPDA re-arms FD).
+
+        ``moved`` lists the destinations whose distance changed, or is
+        None when MTU recomputed every distance from scratch.
+        """
 
     def _after_ntu(self, lsu_sender: NodeId | None) -> None:
         """The tail of procedure PDA: MTU, then flood any differences."""
@@ -336,18 +348,23 @@ class PDARouter:
             known.update(table.nodes_map_view())
         return list(known)
 
-    def _universe_rank(self, universe) -> dict[NodeId, int]:
+    def _universe_rank(self, universe):
         """Tie-break ranks for ``universe``, cached across MTU runs.
 
         Rank comparison is equivalent to the repr order the paper's
         "lower address" tie rule uses (see :func:`rank_nodes`); the map
-        is rebuilt only when the universe gains or loses nodes.
+        is rebuilt only when the universe gains or loses nodes, and the
+        nodes that joined and left since the previous run come back with
+        it (a repr sort keeps the survivors' relative order, so a carried
+        shortest-path tree stays valid across the rebuild).
         """
         nodes = frozenset(universe)
-        if nodes != self._rank_nodes:
-            self._rank = rank_nodes(nodes)
-            self._rank_nodes = nodes
-        return self._rank
+        old = self._rank_nodes
+        if nodes == old:
+            return self._rank, (), ()
+        self._rank = rank_nodes(nodes)
+        self._rank_nodes = nodes
+        return self._rank, nodes - old, old - nodes
 
     def _mtu(self):
         """MTU (Fig. 3): rebuild the main table; return the LSU diff.
@@ -357,30 +374,41 @@ class PDARouter:
         the same tree and an empty diff — so when nothing marked those
         inputs dirty the whole computation is skipped (the counter still
         advances: a skipped run is still a protocol-level MTU event).
+
+        Otherwise steps 3-5 either rebuild the candidate graph
+        (:meth:`_mtu_rebuild`, then a full Dijkstra in :meth:`_mtu_tree`)
+        or patch the carried one (:meth:`_mtu_refresh`, then an
+        incremental tree update in :meth:`_mtu_patch`); both land on the
+        same tree, distances and diff entries.
         """
         self.mtu_runs += 1
         if not self._tables_dirty and self.INCREMENTAL:
             return ()
         self._tables_dirty = False
-        old = self.main_table
         universe = self._universe()
-        rank = self._universe_rank(universe)
-        me = self.node_id
+        rank, joined, left = self._universe_rank(universe)
         link_costs = self.link_costs
         up = [n for n in link_costs if link_costs[n] < INFINITY]
-
         if self._mtu_full or not self.INCREMENTAL:
             self._mtu_rebuild(up, rank)
-        else:
-            self._mtu_refresh(up, rank)
+            return self._mtu_tree(universe, rank)
+        changed = self._mtu_refresh(up, rank)
+        return self._mtu_patch(rank, changed, joined, left)
 
-        # Steps 6-8 fused: run Dijkstra, then a single pass over the
-        # predecessor map yields the tree's per-head link groups, the
-        # restricted distance view, and the ADD/CHANGE half of the diff
-        # at once (a link (h, t) is in the tree iff ``pred[t] == h``, so
-        # no intermediate tree dict is materialized).
-        cand = self._cand
-        dist, pred = dijkstra(cand, me, nodes=universe, rank=rank, adj=self._adj)
+    def _mtu_tree(self, universe, rank):
+        """MTU steps 6-8 from scratch: Dijkstra, then one fused pass.
+
+        A single pass over the predecessor map yields the tree's
+        per-head link groups, the restricted distance view, and the
+        ADD/CHANGE half of the diff at once (a link (h, t) is in the
+        tree iff ``pred[t] == h``, so no intermediate tree dict is
+        materialized).
+        """
+        old = self.main_table
+        me = self.node_id
+        radj = self._radj
+        # The adjacency carries the costs; the cost map goes unread.
+        dist, pred = dijkstra({}, me, nodes=universe, rank=rank, adj=self._adj)
         old_links = old.links_view()
         old_get = old_links.get
         by_head: dict[NodeId, dict] = {}
@@ -392,7 +420,7 @@ class PDARouter:
             if h is None:
                 continue
             link = (h, t)
-            cost = cand[link]
+            cost = radj[t][h]
             group = group_of(h)
             if group is None:
                 group = by_head[h] = {}
@@ -441,7 +469,81 @@ class PDARouter:
                 )
                 self._flood_dist = flood
         self.distances = dist
-        self._distances_recomputed()
+        self._pred = pred
+        self._distances_recomputed(None)
+        return changes
+
+    def _mtu_patch(self, rank, changed, joined, left):
+        """MTU steps 6-8 on the carried tree: only what moved.
+
+        ``changed`` lists the candidate links :meth:`_mtu_refresh`
+        re-sourced with a different cost (or none, when removed or
+        added); :func:`update_shortest_paths` patches the carried
+        ``distances``/``_pred`` to exactly what Dijkstra would return,
+        and reports which distances and predecessors moved.  A tree link
+        ``(pred[t], t)`` can only appear, vanish or change cost where
+        ``t``'s predecessor moved or a re-sourced link is its tree link,
+        so those are the only diff entries — emitted without a pass over
+        the tree — and the flooded snapshot is patched copy-on-write.
+        """
+        if not (changed or joined or left):
+            self._distances_recomputed([])
+            return ()
+        dist, pred = self.distances, self._pred
+        moved, repointed = update_shortest_paths(
+            dist,
+            pred,
+            self.node_id,
+            self._adj,
+            self._radj,
+            rank,
+            changed,
+            joined,
+            left,
+        )
+        self._distances_recomputed(moved)
+        radj = self._radj
+        entries: list[LinkEntry] = []
+        deletes: list[LinkEntry] = []
+        for t, old_head in repointed.items():
+            if old_head is not None:
+                deletes.append(LinkEntry(EntryOp.DELETE, old_head, t))
+            h = pred.get(t)
+            if h is not None:
+                entries.append(LinkEntry(EntryOp.ADD, h, t, radj[t][h]))
+        for h, t, old_cost in changed:
+            if old_cost is not None and t not in repointed and pred.get(t) == h:
+                entries.append(LinkEntry(EntryOp.CHANGE, h, t, radj[t][h]))
+        if not entries and not deletes:
+            return ()
+        entries.extend(deletes)
+        changes = tuple(entries)
+        self.main_table.apply(changes)
+
+        # Only tree nodes (plus self) are flooded, so the restricted
+        # view moves exactly where a distance or a predecessor moved.
+        prev_flood = self._flood_dist
+        flood = dict(prev_flood)
+        changed_rows: set[NodeId] = set()
+        for t in itertools.chain(moved, repointed):
+            if pred.get(t) is None:
+                if flood.pop(t, None) is not None:
+                    changed_rows.add(t)
+            else:
+                d = dist[t]
+                if prev_flood.get(t) != d:
+                    flood[t] = d
+                    changed_rows.add(t)
+        # A full MTU always runs first (``_mtu_full`` starts True) and
+        # its tree holds the adjacent links, so a snapshot exists.
+        self._table_version += 1
+        self._snap = self._snap.patched(
+            changes,
+            version=self._table_version,
+            dist=flood,
+            changed_rows=changed_rows,
+        )
+        self._flood_dist = flood
         return changes
 
     def _mtu_rebuild(self, up, rank) -> None:
@@ -471,11 +573,10 @@ class PDARouter:
                     best_val[j] = val
                     best_nbr[j] = k
 
-        # The candidate map is grouped by head as it is built (each
+        # The candidate graph is grouped by head as it is built (each
         # preferred neighbor contributes exactly the links leaving one
         # head), so Dijkstra gets its adjacency for free instead of
         # regrouping O(E) links every run.
-        candidate: dict[tuple[NodeId, NodeId], float] = {}
         adj: dict[NodeId, list[tuple[NodeId, float]]] = {}
         me = self.node_id
         tables = self.neighbor_tables
@@ -483,23 +584,29 @@ class PDARouter:
             if j == me or best_val[j] == INFINITY:
                 continue
             view = tables[k].links_with_head_view(j)
-            candidate.update(view)
             adj[j] = [(tail, cost) for (_, tail), cost in view.items()]
 
         # Step 5: adjacent links override anything neighbors reported.
-        for k in up:
-            candidate[(me, k)] = link_costs[k]
         adj[me] = [(k, link_costs[k]) for k in up]
+
+        radj: dict[NodeId, dict[NodeId, float]] = {}
+        for head, out in adj.items():
+            for tail, cost in out:
+                into = radj.get(tail)
+                if into is None:
+                    radj[tail] = {head: cost}
+                else:
+                    into[head] = cost
 
         self._best_val = best_val
         self._best_nbr = best_nbr
-        self._cand = candidate
         self._adj = adj
+        self._radj = radj
         self._best_dirty.clear()
         self._group_dirty.clear()
         self._mtu_full = False
 
-    def _mtu_refresh(self, up, rank) -> None:
+    def _mtu_refresh(self, up, rank):
         """MTU steps 3-5, touching only destinations whose inputs moved.
 
         ``_best_dirty`` holds every node whose merged-distance row
@@ -510,6 +617,11 @@ class PDARouter:
         ``_group_dirty`` holds nodes whose copied link group may differ
         even with an unchanged winner (the winning neighbor re-announced
         links leaving that head); their groups are spliced in place.
+
+        Returns ``(head, tail, old_cost)`` for every candidate link
+        whose cost moved (``old_cost`` None for a new link; a removed
+        link is gone from ``_radj``) — the edit list the incremental
+        tree update consumes.
         """
         best_val, best_nbr = self._best_val, self._best_nbr
         link_costs = self.link_costs
@@ -568,24 +680,37 @@ class PDARouter:
                     group_dirty.add(j)
         self._best_dirty = set()
 
-        cand = self._cand
+        radj = self._radj
         tables = self.neighbor_tables
         me = self.node_id
+        changed: list[tuple[NodeId, NodeId, float | None]] = []
         for j in group_dirty:
             if j == me:
                 continue
             old_adj = adj.pop(j, None)
-            if old_adj:
-                for tail, _ in old_adj:
-                    cand.pop((j, tail), None)
+            old = dict(old_adj) if old_adj else {}
             k = best_nbr.get(j)
-            if k is None or best_val[j] == INFINITY:
-                continue
-            view = tables[k].links_with_head_view(j)
-            if view:
-                cand.update(view)
-                adj[j] = [(tail, cost) for (_, tail), cost in view.items()]
+            if k is not None and best_val[j] < INFINITY:
+                view = tables[k].links_with_head_view(j)
+                if view:
+                    adj[j] = [(tail, cost) for (_, tail), cost in view.items()]
+                    for (_, tail), cost in view.items():
+                        old_cost = old.pop(tail, None)
+                        if old_cost != cost:
+                            changed.append((j, tail, old_cost))
+                            into = radj.get(tail)
+                            if into is None:
+                                radj[tail] = {j: cost}
+                            else:
+                                into[j] = cost
+            for tail, old_cost in old.items():
+                into = radj[tail]
+                del into[j]
+                if not into:
+                    del radj[tail]
+                changed.append((j, tail, old_cost))
         self._group_dirty = set()
+        return changed
 
     # ------------------------------------------------------------------
     # message plumbing

@@ -25,6 +25,9 @@ INFINITY = float("inf")
 
 CostMap = Mapping[LinkId, float]
 
+#: Shared empty in-adjacency for nodes without in-links.
+_EMPTY: Mapping = {}
+
 
 def _adjacency(costs: CostMap) -> dict[NodeId, list[tuple[NodeId, float]]]:
     """Out-adjacency lists from a link-cost map."""
@@ -155,6 +158,154 @@ def dijkstra(
                 ):
                     pred[nbr] = node
     return dist, pred
+
+
+def update_shortest_paths(
+    dist: dict[NodeId, float],
+    pred: dict[NodeId, NodeId | None],
+    source: NodeId,
+    adj: Mapping[NodeId, list[tuple[NodeId, float]]],
+    radj: Mapping[NodeId, Mapping[NodeId, float]],
+    rank: Mapping[NodeId, int],
+    changed: list[tuple[NodeId, NodeId, float | None]],
+    joined=(),
+    left=(),
+) -> tuple[list[NodeId], dict[NodeId, NodeId | None]]:
+    """Patch a :func:`dijkstra` result in place after link edits.
+
+    ``dist``/``pred`` must be ``dijkstra(...)``'s output (with ``rank``)
+    for the graph *before* the edits; ``adj``/``radj`` (out- and
+    in-adjacency, ``radj[t][h]`` = cost of ``h -> t``) already describe
+    the graph *after* them.  On return ``dist``/``pred`` equal what
+    ``dijkstra`` would compute on the new graph over the new node set —
+    the same floats, the same tie-broken predecessors, and the same key
+    set — at a cost proportional to the invalidated subtrees and the
+    region that actually moved, not to the graph (Ramalingam & Reps'
+    dynamic SSSP, specialized to positive costs):
+
+    1. Nodes whose old tree path uses a raised or removed link — the
+       subtrees under such tree links — are invalidated, then seeded
+       with their best distance through an unaffected in-neighbour.
+    2. Lowered and added links seed their tail when they beat its label.
+    3. A heap pass from those seeds settles the new distances; every
+       node outside the invalidated subtrees keeps its old label as an
+       upper bound, and an edge out of a node not on the heap is
+       already consistent, so the pass is plain Dijkstra on the rest.
+    4. A node's predecessor is re-picked only where its distance, its
+       in-links or an in-neighbour's distance moved, by ``dijkstra``'s
+       rule: the lowest-rank in-neighbour ``u`` with ``dist[u] + c ==
+       dist[v]`` (None for the source and for unreachable nodes).
+
+    Args:
+        changed: ``(head, tail, old_cost)`` for every link whose cost
+            differs between the two graphs; ``old_cost`` is None for an
+            added link, and a link absent from ``radj`` was removed.
+        joined: nodes new to the node set (their links are in
+            ``changed``).
+        left: nodes gone from the node set; all their links must be in
+            ``changed`` as removed.
+
+    Returns:
+        ``(moved, repointed)``: the nodes still present whose distance
+        changed, and ``{node: old_pred}`` for every node whose
+        predecessor changed (nodes that left included).
+    """
+    inf = INFINITY
+    for node in joined:
+        dist[node] = inf
+        pred[node] = None
+    old_dist: dict[NodeId, float] = {}
+    heap: list[tuple[float, int, NodeId]] = []
+    push = heapq.heappush
+    radj_get = radj.get
+    adj_get = adj.get
+
+    # 1. Invalidate the subtrees under raised and removed tree links.
+    roots = []
+    for head, tail, old_cost in changed:
+        if pred[tail] == head:
+            cost = radj_get(tail, _EMPTY).get(head)
+            if cost is None or cost > old_cost:
+                roots.append(tail)
+    if roots:
+        affected = set(roots)
+        stack = roots
+        while stack:
+            node = stack.pop()
+            for child, _ in adj_get(node, ()):
+                if pred[child] == node and child not in affected:
+                    affected.add(child)
+                    stack.append(child)
+        for node in affected:
+            old_dist[node] = dist[node]
+            dist[node] = inf
+        for node in affected:
+            best = inf
+            for head, cost in radj_get(node, _EMPTY).items():
+                if head not in affected:
+                    alt = dist[head] + cost
+                    if alt < best:
+                        best = alt
+            if best < inf:
+                dist[node] = best
+                push(heap, (best, rank[node], node))
+
+    # 2. Lowered and added links.
+    for head, tail, old_cost in changed:
+        cost = radj_get(tail, _EMPTY).get(head)
+        if cost is not None and (old_cost is None or cost < old_cost):
+            alt = dist[head] + cost
+            cur = dist[tail]
+            if alt < cur:
+                if tail not in old_dist:
+                    old_dist[tail] = cur
+                dist[tail] = alt
+                push(heap, (alt, rank[tail], tail))
+
+    # 3. Settle.
+    pop = heapq.heappop
+    while heap:
+        d, _, node = pop(heap)
+        if d > dist[node]:
+            continue
+        for tail, cost in adj_get(node, ()):
+            alt = d + cost
+            cur = dist[tail]
+            if alt < cur:
+                if tail not in old_dist:
+                    old_dist[tail] = cur
+                dist[tail] = alt
+                push(heap, (alt, rank[tail], tail))
+
+    moved = [node for node, d in old_dist.items() if dist[node] != d]
+
+    # 4. Re-pick predecessors where an input of the rule moved.
+    repick = {tail for _, tail, _ in changed}
+    repick.update(moved)
+    for node in moved:
+        for tail, _ in adj_get(node, ()):
+            repick.add(tail)
+    repointed: dict[NodeId, NodeId | None] = {}
+    for node in repick:
+        d = dist[node]
+        new = None
+        if d < inf and node != source:
+            best_rank = -1
+            for head, cost in radj_get(node, _EMPTY).items():
+                if dist[head] + cost == d:
+                    r = rank[head]
+                    if new is None or r < best_rank:
+                        new, best_rank = head, r
+        old = pred[node]
+        if new != old:
+            repointed[node] = old
+            pred[node] = new
+    if left:
+        for node in left:
+            del dist[node]
+            del pred[node]
+        moved = [node for node in moved if node in dist]
+    return moved, repointed
 
 
 def dijkstra_tree(

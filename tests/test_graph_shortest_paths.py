@@ -2,7 +2,7 @@
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import RoutingError
@@ -15,7 +15,9 @@ from repro.graph.shortest_paths import (
     dijkstra_tree,
     extract_path,
     path_cost,
+    rank_nodes,
     topology_costs,
+    update_shortest_paths,
 )
 from repro.graph.topology import Topology
 
@@ -246,3 +248,153 @@ class TestKShortestPaths:
         assert k_shortest_paths(costs, 0, 5, 3) == k_shortest_paths(
             costs, 0, 5, 3
         )
+
+
+# ----------------------------------------------------------------------
+# incremental shortest-path tree (update_shortest_paths)
+# ----------------------------------------------------------------------
+_POOL = list(range(12))  # repr order puts 10 and 11 between 1 and 2
+
+
+def _graph_state(costs, universe):
+    adj = {node: [] for node in universe}
+    radj = {}
+    for (head, tail), cost in costs.items():
+        adj[head].append((tail, cost))
+        radj.setdefault(tail, {})[head] = cost
+    return adj, radj
+
+
+@st.composite
+def _spt_scenarios(draw):
+    """A small digraph over part of the pool, then batches of edits.
+
+    Costs are small integers, so equal-cost paths (ties settled only by
+    the rank rule) are common.  Each batch mixes link adds, removals,
+    raises and lowers with nodes joining or leaving the node set.
+    """
+    size = draw(st.integers(2, 8))
+    universe = set(draw(st.permutations(_POOL))[:size]) | {0}
+    cost = st.integers(1, 4).map(float)
+    costs = {}
+    for head in sorted(universe):
+        for tail in sorted(universe):
+            if head != tail and draw(st.booleans()):
+                costs[(head, tail)] = draw(cost)
+    batches = []
+    for _ in range(draw(st.integers(1, 6))):
+        ops = []
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(
+                st.sampled_from(["add", "remove", "raise", "lower", "join", "leave"])
+            )
+            ops.append(
+                (
+                    kind,
+                    draw(st.sampled_from(_POOL)),
+                    draw(st.sampled_from(_POOL)),
+                    draw(cost),
+                )
+            )
+        batches.append(ops)
+    return universe, costs, batches
+
+
+def _apply_edit(universe, costs, kind, a, b, c):
+    """One edit; returns False when it does not apply to this graph."""
+    if kind == "join":
+        if a in universe:
+            return False
+        universe.add(a)
+        for other in sorted(universe - {a}):
+            if (other + a + int(c)) % 3 == 0:
+                costs[(other, a)] = c
+            if (other * a + int(c)) % 4 == 0:
+                costs[(a, other)] = c
+        return True
+    if kind == "leave":
+        if a == 0 or a not in universe:
+            return False
+        universe.discard(a)
+        for link in [ln for ln in costs if a in ln]:
+            del costs[link]
+        return True
+    if a == b or a not in universe or b not in universe:
+        return False
+    link = (a, b)
+    old = costs.get(link)
+    if kind == "add":
+        if old is not None:
+            return False
+        costs[link] = c
+    elif kind == "remove":
+        if old is None:
+            return False
+        del costs[link]
+    elif kind == "raise":
+        if old is None:
+            return False
+        costs[link] = old + c
+    else:  # lower
+        if old is None or old <= 1.0:
+            return False
+        costs[link] = max(1.0, old - c)
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario=_spt_scenarios())
+@example(
+    # Lowering 1->3 to tie the path through 2 moves no distance, only
+    # the predecessor of 3: node 1 has the lower rank.
+    scenario=(
+        {0, 1, 2, 3},
+        {(0, 2): 1.0, (2, 3): 1.0, (0, 1): 1.0, (1, 3): 5.0},
+        [[("lower", 1, 3, 4.0)]],
+    )
+)
+def test_update_shortest_paths_matches_dijkstra(scenario):
+    """After every batch of edits the patched ``(dist, pred)`` equals a
+    fresh ``dijkstra`` — every float, every tie-broken predecessor, and
+    the key set (unreachable nodes at infinity with no predecessor)."""
+    universe, costs, batches = scenario
+    adj, _ = _graph_state(costs, universe)
+    dist, pred = dijkstra(
+        costs, 0, nodes=sorted(universe), rank=rank_nodes(universe), adj=adj
+    )
+    for batch in batches:
+        old_costs, old_universe = dict(costs), set(universe)
+        for edit in batch:
+            _apply_edit(universe, costs, *edit)
+        changed = [
+            (head, tail, old_costs.get((head, tail)))
+            for head, tail in old_costs.keys() | costs.keys()
+            if old_costs.get((head, tail)) != costs.get((head, tail))
+        ]
+        adj, radj = _graph_state(costs, universe)
+        rank = rank_nodes(universe)
+        old_dist, old_pred = dict(dist), dict(pred)
+        moved, repointed = update_shortest_paths(
+            dist,
+            pred,
+            0,
+            adj,
+            radj,
+            rank,
+            changed,
+            joined=universe - old_universe,
+            left=old_universe - universe,
+        )
+        want_dist, want_pred = dijkstra(
+            costs, 0, nodes=sorted(universe), rank=rank, adj=adj
+        )
+        assert dist == want_dist
+        assert pred == want_pred
+        assert set(moved) == {
+            v for v in dist if v in old_dist and old_dist[v] != dist[v]
+        } | {v for v in dist if v not in old_dist and dist[v] < INFINITY}
+        assert repointed == {
+            v: old_pred.get(v)
+            for v in old_pred.keys() | pred.keys()
+            if old_pred.get(v) != pred.get(v)
+        }

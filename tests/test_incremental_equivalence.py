@@ -35,9 +35,33 @@ class ReferenceRouter(MPDARouter):
     INCREMENTAL = False
 
 
+def _recording(router_cls):
+    """``router_cls`` logging every LSU it sends into ``cls.sent``.
+
+    A sent LSU is ``(sender, receiver, ack, frozenset(entries))``: the
+    entry *set* is the wire contract — the order of entries within one
+    LSU is not (it already varies with ``PYTHONHASHSEED`` on string
+    node ids), while every entry's floats must match exactly.
+    """
+
+    class Recording(router_cls):
+        sent: list = []
+
+        def _send(self, neighbor, message):
+            self.sent.append(
+                (self.node_id, neighbor, message.ack, frozenset(message.entries))
+            )
+            super()._send(neighbor, message)
+
+    return Recording
+
+
 def _assert_same_state(optimized: ProtocolDriver, reference: ProtocolDriver):
     """The two drivers must agree on every protocol-visible quantity."""
     assert optimized.message_stats() == reference.message_stats()
+    opt_cls = type(next(iter(optimized.routers.values())))
+    ref_cls = type(next(iter(reference.routers.values())))
+    assert opt_cls.sent == ref_cls.sent
     for node, router in optimized.routers.items():
         ref = reference.routers[node]
         assert router.distances == ref.distances, node
@@ -47,8 +71,8 @@ def _assert_same_state(optimized: ProtocolDriver, reference: ProtocolDriver):
 
 
 def _pair(topo, seed=0):
-    optimized = ProtocolDriver(topo, MPDARouter, seed=seed)
-    reference = ProtocolDriver(topo, ReferenceRouter, seed=seed)
+    optimized = ProtocolDriver(topo, _recording(MPDARouter), seed=seed)
+    reference = ProtocolDriver(topo, _recording(ReferenceRouter), seed=seed)
     costs = topo.idle_marginal_costs()
     for driver in (optimized, reference):
         driver.start(costs)
@@ -92,7 +116,9 @@ def test_fuzz_schedule_differential(seed):
 
     def execute(router_cls):
         driver = ProtocolDriver(
-            build_topology(topo_spec), router_cls, seed=case.driver_seed
+            build_topology(topo_spec),
+            _recording(router_cls),
+            seed=case.driver_seed,
         )
         driver.start(base_costs)
         driver.run()
@@ -308,32 +334,76 @@ def test_snapshot_desync_falls_back_to_entries():
     assert router.distances["x"] == 6.0
 
 
-def test_fused_mtu_snapshot_matches_from_tree():
-    """The fused MTU tail builds its FrozenTree inline; it must agree
-    with the documented :meth:`FrozenTree.from_tree` construction and
-    with the router's own main table."""
-    topo = net1()
-    driver = ProtocolDriver(topo, MPDARouter, seed=0)
-    driver.start(topo.idle_marginal_costs())
-    driver.run()
-    for node, router in driver.routers.items():
-        snap = router._snap
-        assert snap is not None
-        tree = router.main_table.links()
+class _SnapshotChecked(MPDARouter):
+    """MPDA checking the flooded snapshot after every changed MTU.
+
+    The MTU tail builds its FrozenTree itself — inline after a full
+    Dijkstra, copy-on-write after an incremental tree update.  Either
+    way it must agree with the documented :meth:`FrozenTree.from_tree`
+    construction and with the router's own main table, and the previous
+    snapshot (which receivers may still hold, and which shares groups
+    with the new one) must come out untouched.
+    """
+
+    checked = 0
+    patched = 0
+
+    def _mtu_patch(self, *args):
+        type(self).patched += 1
+        return super()._mtu_patch(*args)
+
+    def _mtu(self):
+        prev_flood = self._flood_dist
+        prev = self._snap
+        prev_state = None if prev is None else (prev.links(), dict(prev.dist))
+        changes = super()._mtu()
+        if not changes:
+            return changes
+        snap = self._snap
+        tree = self.main_table.links()
         assert snap.links() == tree
-        assert snap.dist == router._flood_dist
+        assert len(snap) == len(tree)
+        assert snap.dist is self._flood_dist
+        assert snap.prev_version == (0 if prev is None else prev.version)
         rebuilt = FrozenTree.from_tree(
             tree,
-            node,
-            router.distances,
+            self.node_id,
+            self.distances,
             version=snap.version,
             prev_version=snap.prev_version,
-            applies_to_empty=snap.applies_to_empty,
-            prev_flood={node: 0.0},
+            applies_to_empty=len(prev_flood) == 1,
+            prev_flood=prev_flood,
         )
         assert rebuilt.dist == snap.dist
-        assert rebuilt.links() == snap.links()
+        assert rebuilt.changed_rows == snap.changed_rows
+        assert rebuilt.applies_to_empty == snap.applies_to_empty
         assert set(rebuilt.nodes_view()) == set(snap.nodes_view())
+        if prev is not None:
+            assert (prev.links(), prev.dist) == prev_state
+        type(self).checked += 1
+        return changes
+
+
+def test_fused_mtu_snapshot_matches_from_tree():
+    """Every snapshot through cold start, a failover window and a cost
+    change matches the reference construction."""
+    for topo in (net1(), waxman(40, seed=2)):
+        router_cls = type("Checked", (_SnapshotChecked,), {})
+        driver = ProtocolDriver(topo, router_cls, seed=0)
+        costs = topo.idle_marginal_costs()
+        driver.start(costs)
+        driver.run()
+        a, b = next(iter(topo.links())).link_id
+        driver.fail_link(a, b)
+        driver.run()
+        driver.restore_link(a, b, costs[(a, b)], costs[(b, a)])
+        driver.run()
+        driver.set_costs({link: c * 1.7 for link, c in list(costs.items())[:4]})
+        driver.run()
+        driver.verify_converged()
+        assert router_cls.checked > len(driver.routers)
+        # The incremental tree update (not only full rebuilds) was checked.
+        assert router_cls.patched > 0
 
 
 # ----------------------------------------------------------------------
