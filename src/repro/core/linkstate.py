@@ -5,10 +5,11 @@ or more entries, each the triplet ``[h, t, d]`` (head, tail, cost of link
 ``h -> t``) tagged *add*, *change* or *delete*, plus an ACK flag used by
 MPDA to acknowledge the previous LSU from that neighbor.
 
-A :class:`TopologyTable` stores one router's view of some set of links.
 Each router keeps a *main* table ``T_i`` (its own shortest-path tree after
-MTU) and one *neighbor* table ``T_k_i`` per neighbor — a time-delayed copy
-of that neighbor's main table.
+MTU), an immutable :class:`FrozenTree`, and one *neighbor* table ``T_k_i``
+per neighbor — a time-delayed copy of that neighbor's main table: the
+sender's adopted snapshot, or a mutable :class:`TopologyTable` where LSU
+entries are replayed.
 """
 
 from __future__ import annotations
@@ -332,10 +333,6 @@ class TopologyTable:
         """
         return self._by_head.get(head, _EMPTY_LINKS)
 
-    def links_view(self) -> Mapping[LinkId, float]:
-        """The live link map (read-only; do not hold across mutations)."""
-        return self._links
-
     def nodes(self) -> set[NodeId]:
         """Every node appearing as a head or tail."""
         return set(self._node_refs)
@@ -443,10 +440,13 @@ class TopologyTable:
 
 
 class FrozenTree:
-    """An immutable tree snapshot flooded alongside an LSU.
+    """An immutable tree snapshot: a router's main table, flooded with LSUs.
 
-    Built once by the sender when MTU changes its tree, and shared by
-    reference with every receiver of the flood.  A receiver may adopt it
+    A router's main table *is* its current snapshot (an empty one before
+    the first MTU).  MTU builds the next snapshot whenever its tree
+    changes, in the ``INCREMENTAL = False`` reference mode too; the
+    incremental mode also attaches it to the LSU, and it is then shared
+    by reference with every receiver of the flood.  A receiver may adopt it
     in place of replaying the LSU entries exactly when its current copy
     of the sender's table equals the state the entries were diffed
     against — either the copy *is* the sender's previous snapshot (same
@@ -456,8 +456,8 @@ class FrozenTree:
     distance values the entry replay would produce, by construction, at
     O(1) instead of O(entries + affected region).  Any other receiver
     state — duplicated or reordered delivery over a raw faulty channel,
-    the ``INCREMENTAL = False`` reference mode — ignores the snapshot
-    and takes the entry path.
+    or either end in the reference mode, which builds snapshots but
+    neither attaches nor adopts them — takes the entry path.
 
     Instances are shared across routers and must never be mutated; a
     receiver that needs to edit its copy materializes a mutable
@@ -518,6 +518,21 @@ class FrozenTree:
         self._n_links = n_links
 
     @classmethod
+    def empty(cls, root: NodeId) -> "FrozenTree":
+        """The main table of a router whose MTU has not run yet."""
+        dist = {root: 0.0}
+        return cls(
+            version=0,
+            prev_version=None,
+            applies_to_empty=True,
+            dist=dist,
+            changed_rows=set(),
+            by_head={},
+            nodes=dist,
+            n_links=0,
+        )
+
+    @classmethod
     def from_tree(
         cls,
         tree: Mapping[LinkId, float],
@@ -532,9 +547,8 @@ class FrozenTree:
         """Freeze a ``(dist, tree)`` shortest-path result in one pass.
 
         The reference construction of a snapshot: the MTU tail builds
-        its snapshots itself (from Dijkstra's predecessor map after a
-        full recomputation, by :meth:`patched` after an incremental
-        one), and tests hold both to this function's result.
+        its snapshots itself (:meth:`patched` with its own diff), and
+        tests hold them to this function's result.
 
         ``dist`` may cover the sender's whole node universe; the
         snapshot keeps only the tree's nodes (all finite) plus the
@@ -577,11 +591,11 @@ class FrozenTree:
         self,
         entries: Iterable[LinkEntry],
         *,
-        version: int,
         dist: dict[NodeId, float],
         changed_rows: set[NodeId],
     ) -> "FrozenTree":
-        """The sender's next snapshot: this one with ``entries`` applied.
+        """The sender's next snapshot (next version): this one with
+        ``entries`` applied.
 
         Copy-on-write: the outer head map is copied, each head an entry
         touches gets a new group dict, and every other group is shared
@@ -614,7 +628,7 @@ class FrozenTree:
             else:
                 by_head.pop(head, None)
         return FrozenTree(
-            version=version,
+            version=self.version + 1,
             prev_version=self.version,
             applies_to_empty=len(self.dist) == 1,
             dist=dist,
@@ -652,9 +666,18 @@ class FrozenTree:
                 table.set_link(head, tail, cost)
         return table
 
-    # Read-only surface shared with TopologyTable (what MTU touches).
+    # Read-only surface shared with TopologyTable (what MTU, the greeting
+    # dump and introspection touch).
     def links_with_head_view(self, head: NodeId) -> Mapping[LinkId, float]:
         return self._by_head.get(head, _EMPTY_LINKS)
+
+    def cost(self, head: NodeId, tail: NodeId) -> float:
+        """Cost of the link, or infinity when absent."""
+        return self._by_head.get(head, _EMPTY_LINKS).get((head, tail), INFINITY)
+
+    def nodes(self) -> set[NodeId]:
+        """The tree's nodes (the root included, even with no links)."""
+        return set(self._nodes)
 
     def nodes_view(self):
         return self._nodes.keys()
@@ -668,8 +691,19 @@ class FrozenTree:
             out.update(group)
         return out
 
+    def full_dump(self) -> tuple[LinkEntry, ...]:
+        """ADD entries for every link — sent to a newly-up neighbor."""
+        return tuple(
+            LinkEntry(EntryOp.ADD, head, tail, cost)
+            for group in self._by_head.values()
+            for (head, tail), cost in group.items()
+        )
+
     def __len__(self) -> int:
         return self._n_links
+
+    def __iter__(self) -> Iterator[LinkId]:
+        return itertools.chain.from_iterable(self._by_head.values())
 
     def __repr__(self) -> str:
         return f"FrozenTree(v{self.version}, {self._n_links} links)"

@@ -27,6 +27,7 @@ it after every event to machine-check Theorem 3.
 from __future__ import annotations
 
 import enum
+import itertools
 from collections.abc import Mapping
 
 from repro.core.lfi import check_lfi
@@ -83,9 +84,15 @@ class MPDARouter(PDARouter):
         #: set after each lowering/reset, cleared when MTU recomputes
         #: the distances it folds in.
         self._fd_clean = False
-        #: The destinations whose distance MTU moved since the last
-        #: lowering/reset, or None when every distance must be folded.
-        self._fd_moved: list[NodeId] | None = None
+        #: The destinations whose distance MTU moved, and those that
+        #: left the universe, since the last lowering/reset; None when
+        #: every distance must be folded.
+        self._fd_moved: tuple[list[NodeId], list[NodeId]] | None = None
+        #: The FD lag set: ``{j: D_j}`` for every destination whose
+        #: feasible distance differs from its distance (absent = ∞) as
+        #: of the last lowering/reset.  Each fold leaves ``FD_j <= D_j``,
+        #: so ``FD_j`` is present for every entry.
+        self._fd_lag: dict[NodeId, float] = {}
 
     def _note_rows_changed(self, destinations) -> None:
         if not self._dirty_all:
@@ -97,10 +104,13 @@ class MPDARouter(PDARouter):
         self._dirty_all = True
         super()._links_changed()
 
-    def _distances_recomputed(self, moved) -> None:
+    def _distances_recomputed(self, moved, left=()) -> None:
         # ``moved`` is relative to the previous MTU, so it covers every
         # unfolded change only when that MTU's distances were folded.
-        self._fd_moved = moved if self._fd_clean else None
+        if moved is None or not self._fd_clean:
+            self._fd_moved = None
+        else:
+            self._fd_moved = (moved, left)
         self._fd_clean = False
 
     def _outstanding(self) -> bool:
@@ -112,14 +122,8 @@ class MPDARouter(PDARouter):
         self.state = RouterState.ACTIVE
 
     def _greet(self, neighbor: NodeId) -> None:
-        dump = self.main_table.full_dump()
-        if dump:
-            self._send(
-                neighbor,
-                LSUMessage(
-                    self.node_id, dump, snapshot=self._full_snapshot()
-                ),
-            )
+        if len(self.main_table):
+            super()._greet(neighbor)
             self._note_sent(neighbor)
             self.transitions += 1
 
@@ -162,10 +166,9 @@ class MPDARouter(PDARouter):
             self._lower_feasible_distances()
         elif not self._outstanding():
             # Step 3: the last ACK arrived — leave the ACTIVE phase.
-            before = dict(self.distances)
             self.state = RouterState.PASSIVE
             changes = self._mtu()
-            self._reset_feasible_distances(before)
+            self._reset_feasible_distances()
         # else: ACTIVE with ACKs outstanding — MTU is deferred.
 
         # Step 4: successor sets from the LFI rule.  The sets feed only
@@ -194,72 +197,104 @@ class MPDARouter(PDARouter):
         Lowering only reads ``self.distances``; once it has run, it stays
         a no-op until MTU actually recomputes those distances (pure-ACK
         events leave them untouched), so ``_fd_clean`` short-circuits it.
-        Every lowering or reset leaves ``FD_j <= D_j`` for each finite
-        ``D_j``, so afterwards only the destinations MTU reports as moved
-        can need lowering; a from-scratch MTU reports None and the whole
-        distance map is folded.
+        Every lowering or reset leaves ``FD_j <= D_j`` for each ``j``, so
+        afterwards only the destinations MTU reports as moved or gone
+        can need lowering, and only their lag entries can change; a
+        from-scratch MTU reports None and the whole distance map is
+        folded (rebuilding the lag set on the way).
         """
-        if self._fd_clean and self.INCREMENTAL:
+        if self._fd_clean:
             return
+        self._fd_clean = True
         dirty = self._dirty_dests
-        me = self.node_id
         feasible = self.feasible_distance
         distances = self.distances
-        moved = self._fd_moved
-        if moved is None or not self.INCREMENTAL:
-            items = distances.items()
-        else:
-            items = [(j, distances[j]) for j in moved]
-        for j, d in items:
-            if j == me or d == INFINITY:
+        inf = INFINITY
+        if self._fd_moved is not None:
+            lag = self._fd_lag
+            dist_get = distances.get
+            moved, left = self._fd_moved
+            for j in itertools.chain(moved, left):
+                d = dist_get(j, inf)
+                fd = feasible.get(j, inf)
+                if d < fd:
+                    feasible[j] = d
+                    dirty.add(j)
+                    lag.pop(j, None)
+                elif fd < d:
+                    lag[j] = d
+                else:
+                    lag.pop(j, None)
+            return
+        me = self.node_id
+        lag = self._fd_lag = {}
+        held = 0  # FD entries whose destination is in ``distances``
+        for j, d in distances.items():
+            if j == me:
                 continue
-            fd = feasible.get(j, INFINITY)
-            if d < fd:
+            fd = feasible.get(j)
+            if fd is None:
+                if d == inf:
+                    continue
                 feasible[j] = d
                 dirty.add(j)
-        self._fd_clean = True
+            elif d < fd:
+                feasible[j] = d
+                dirty.add(j)
+            elif fd < d:
+                lag[j] = d
+            held += 1
+        if held != len(feasible):
+            # FD kept for destinations with no distance at all: D = ∞.
+            for j in feasible:
+                if j not in distances:
+                    lag[j] = inf
 
-    def _reset_feasible_distances(
-        self, before: Mapping[NodeId, float]
-    ) -> None:
+    def _reset_feasible_distances(self) -> None:
         """Fig. 4 step 3c: ``FD_j = min(D_j^before, D_j^after)``.
 
         Unlike step 2b this may *raise* FD: every neighbor has ACKed the
         last LSU, so only the just-reported and the about-to-be-reported
         distances can still be in any neighbor's tables.
+
+        ``D^before`` is the distance map of the last fold (MTU does not
+        run while ACTIVE), which the lag set holds: ``D_j^before`` is
+        ``_fd_lag[j]`` for a lagging ``j`` and ``FD_j`` (absent = ∞) for
+        every other.  So after an incremental MTU only the lag set and
+        the destinations MTU moved or dropped can change; every other
+        ``FD_j`` equals both distances already.  After a from-scratch
+        MTU every distance and every FD entry is visited.
         """
         dirty = self._dirty_dests
         feasible = self.feasible_distance
         distances = self.distances
-        me = self.node_id
-        before_get = before.get
-        for j, d in distances.items():
-            if j == me:
-                continue
-            b = before_get(j, INFINITY)
-            fd = b if b < d else d
-            if fd == INFINITY:
+        dist_get = distances.get
+        inf = INFINITY
+        old_lag = self._fd_lag
+        lag = self._fd_lag = {}
+        if self._fd_moved is None:
+            me = self.node_id
+            targets = [j for j in distances if j != me]
+            targets.extend(j for j in feasible if j not in distances)
+        else:
+            moved, left = self._fd_moved
+            targets = itertools.chain(old_lag, moved, left)
+        for j in targets:
+            b = old_lag.get(j)
+            if b is None:
+                b = feasible.get(j, inf)
+            d = dist_get(j, inf)
+            if b < d:
+                fd = b
+                lag[j] = d
+            else:
+                fd = d
+            if fd == inf:
                 if feasible.pop(j, None) is not None:
                     dirty.add(j)
-            else:
-                if feasible.get(j) != fd:
-                    dirty.add(j)
+            elif feasible.get(j) != fd:
                 feasible[j] = fd
-        for j, fd in before.items():
-            if j == me or j in distances:
-                continue
-            if fd == INFINITY:
-                if feasible.pop(j, None) is not None:
-                    dirty.add(j)
-            else:
-                if feasible.get(j) != fd:
-                    dirty.add(j)
-                feasible[j] = fd
-        for j in [
-            j for j in feasible if j not in distances and j not in before
-        ]:
-            del feasible[j]
-            dirty.add(j)
+                dirty.add(j)
         # The reset already folded the current distances in (FD <= D for
         # every entry), so the next step-2b lowering is a no-op.
         self._fd_clean = True

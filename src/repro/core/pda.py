@@ -62,6 +62,9 @@ class PDARouter:
     - :meth:`receive` — an LSU message arrived from a neighbor.
 
     Attributes:
+        main_table: the current tree ``T_i`` as an immutable
+            :class:`FrozenTree` — the same object the incremental mode
+            floods with its LSUs (empty before the first MTU).
         outbox: queued ``(neighbor, LSUMessage)`` pairs for the driver.
         mtu_runs / lsu_sent / lsu_received: protocol statistics.
 
@@ -93,7 +96,7 @@ class PDARouter:
         #: auditor) use it to tell which routers may have changed state
         #: since they last looked.
         self.route_version = 0
-        self.main_table = TopologyTable()
+        self.main_table = FrozenTree.empty(node_id)
         self.neighbor_tables: dict[NodeId, TopologyTable] = {}
         self.link_costs: dict[NodeId, float] = {}
         self.distances: dict[NodeId, float] = {}
@@ -111,18 +114,9 @@ class PDARouter:
         self.entries_sent = 0
         #: True when MTU's inputs changed since its last recomputation.
         self._tables_dirty = True
-        #: Cached tie-break ranks over the known-node universe, rebuilt
-        #: only when the universe's membership changes.
+        #: Tie-break ranks over the known-node universe; its key set *is*
+        #: the universe, and it is rebuilt only when membership changes.
         self._rank: dict[NodeId, int] = {}
-        self._rank_nodes: frozenset[NodeId] = frozenset()
-        #: Main-table version (bumped once per changed MTU) and the
-        #: frozen snapshot of the current tree, attached to outgoing
-        #: LSUs so in-sync receivers adopt the new tree by reference.
-        self._table_version = 0
-        self._snap: FrozenTree | None = None
-        #: Restricted distance view of the current main table (tree
-        #: nodes plus self) — what a receiver's NTU computes from it.
-        self._flood_dist: dict[NodeId, float] = {node_id: 0.0}
         #: Per-neighbor version of the frozen snapshot currently held
         #: in ``neighbor_tables`` (absent = mutable or out-of-sync).
         self._nbr_versions: dict[NodeId, int] = {}
@@ -175,9 +169,9 @@ class PDARouter:
 
     def _full_snapshot(self) -> FrozenTree | None:
         """The current tree as a full-dump snapshot (greeting messages)."""
-        if not self.INCREMENTAL or self._snap is None:
+        if not self.INCREMENTAL:
             return None
-        return self._snap.as_full(self.node_id)
+        return self.main_table.as_full(self.node_id)
 
     def link_cost_change(self, neighbor: NodeId, cost: float) -> None:
         """The measured cost of the adjacent link changed (NTU step 3)."""
@@ -323,11 +317,13 @@ class PDARouter:
         successor sets)."""
         self._mtu_full = True
 
-    def _distances_recomputed(self, moved) -> None:
+    def _distances_recomputed(self, moved, left=()) -> None:
         """Hook: MTU recomputed ``self.distances`` (MPDA re-arms FD).
 
-        ``moved`` lists the destinations whose distance changed, or is
-        None when MTU recomputed every distance from scratch.
+        ``moved`` lists the destinations whose distance changed and
+        ``left`` the nodes that left the universe (their distance is
+        gone); ``moved`` is None when MTU recomputed every distance from
+        scratch.
         """
 
     def _after_ntu(self, lsu_sender: NodeId | None) -> None:
@@ -353,18 +349,45 @@ class PDARouter:
 
         Rank comparison is equivalent to the repr order the paper's
         "lower address" tie rule uses (see :func:`rank_nodes`); the map
-        is rebuilt only when the universe gains or loses nodes, and the
-        nodes that joined and left since the previous run come back with
-        it (a repr sort keeps the survivors' relative order, so a carried
-        shortest-path tree stays valid across the rebuild).
+        is rebuilt only when the universe gains or loses nodes.
         """
-        nodes = frozenset(universe)
-        old = self._rank_nodes
-        if nodes == old:
-            return self._rank, (), ()
-        self._rank = rank_nodes(nodes)
-        self._rank_nodes = nodes
-        return self._rank, nodes - old, old - nodes
+        nodes = set(universe)
+        if self._rank.keys() != nodes:
+            self._rank = rank_nodes(nodes)
+        return self._rank
+
+    def _universe_moves(self, rows):
+        """Nodes that joined and left the universe since the last MTU.
+
+        The universe is this router, its adjacent neighbors and every
+        node with a row in some neighbor table.  The adjacent-link set
+        is fixed between full MTUs, and a row appears or vanishes only
+        with a row diff, which lands in ``_best_dirty`` — so only the
+        dirty ``rows`` can change membership, and after
+        :meth:`_mtu_refresh` a row node has a preferred neighbor exactly
+        while some up neighbor still reports it.  The rank map is
+        rebuilt when membership moved (a repr sort keeps the survivors'
+        relative order, so the carried shortest-path tree and the ranks
+        :meth:`_mtu_refresh` compared stay valid).
+        """
+        rank = self._rank
+        best_nbr = self._best_nbr
+        link_costs = self.link_costs
+        me = self.node_id
+        joined: list[NodeId] = []
+        left: list[NodeId] = []
+        for j in rows:
+            if j in rank:
+                if j not in best_nbr and j not in link_costs and j != me:
+                    left.append(j)
+            elif j in best_nbr:
+                joined.append(j)
+        if joined or left:
+            nodes = set(rank)
+            nodes.difference_update(left)
+            nodes.update(joined)
+            self._rank = rank_nodes(nodes)
+        return joined, left
 
     def _mtu(self):
         """MTU (Fig. 3): rebuild the main table; return the LSU diff.
@@ -375,102 +398,77 @@ class PDARouter:
         inputs dirty the whole computation is skipped (the counter still
         advances: a skipped run is still a protocol-level MTU event).
 
-        Otherwise steps 3-5 either rebuild the candidate graph
-        (:meth:`_mtu_rebuild`, then a full Dijkstra in :meth:`_mtu_tree`)
-        or patch the carried one (:meth:`_mtu_refresh`, then an
-        incremental tree update in :meth:`_mtu_patch`); both land on the
-        same tree, distances and diff entries.
+        Otherwise steps 3-5 either rebuild the candidate graph over the
+        merged node universe (:meth:`_mtu_rebuild`, then a full Dijkstra
+        in :meth:`_mtu_tree`) or patch the carried one
+        (:meth:`_mtu_refresh`, then an incremental tree update in
+        :meth:`_mtu_patch`, with universe moves read off the dirty
+        rows); both land on the same tree, distances and diff entries,
+        and replace ``main_table`` by its next snapshot when the tree
+        changed.
         """
         self.mtu_runs += 1
         if not self._tables_dirty and self.INCREMENTAL:
             return ()
         self._tables_dirty = False
-        universe = self._universe()
-        rank, joined, left = self._universe_rank(universe)
         link_costs = self.link_costs
         up = [n for n in link_costs if link_costs[n] < INFINITY]
         if self._mtu_full or not self.INCREMENTAL:
+            universe = self._universe()
+            rank = self._universe_rank(universe)
             self._mtu_rebuild(up, rank)
             return self._mtu_tree(universe, rank)
-        changed = self._mtu_refresh(up, rank)
-        return self._mtu_patch(rank, changed, joined, left)
+        rows = self._best_dirty
+        changed = self._mtu_refresh(up, self._rank)
+        joined, left = self._universe_moves(rows)
+        return self._mtu_patch(self._rank, changed, joined, left)
 
     def _mtu_tree(self, universe, rank):
-        """MTU steps 6-8 from scratch: Dijkstra, then one fused pass.
+        """MTU steps 6-8 from scratch: Dijkstra, then one diff pass.
 
-        A single pass over the predecessor map yields the tree's
-        per-head link groups, the restricted distance view, and the
-        ADD/CHANGE half of the diff at once (a link (h, t) is in the
-        tree iff ``pred[t] == h``, so no intermediate tree dict is
-        materialized).
+        A single pass over the predecessor map yields the restricted
+        distance view and the ADD/CHANGE half of the diff against the
+        main table's groups (a link (h, t) is in the tree iff
+        ``pred[t] == h``, so no intermediate tree dict is
+        materialized); the next snapshot is the current one patched
+        copy-on-write with that diff.
         """
         old = self.main_table
         me = self.node_id
         radj = self._radj
         # The adjacency carries the costs; the cost map goes unread.
         dist, pred = dijkstra({}, me, nodes=universe, rank=rank, adj=self._adj)
-        old_links = old.links_view()
-        old_get = old_links.get
-        by_head: dict[NodeId, dict] = {}
-        group_of = by_head.get
+        old_group = old.links_with_head_view
         flood: dict[NodeId, float] = {me: 0.0}
         entries: list[LinkEntry] = []
-        n_links = 0
         for t, h in pred.items():
             if h is None:
                 continue
-            link = (h, t)
             cost = radj[t][h]
-            group = group_of(h)
-            if group is None:
-                group = by_head[h] = {}
-            group[link] = cost
             flood[t] = dist[t]
-            n_links += 1
-            old_cost = old_get(link)
+            old_cost = old_group(h).get((h, t))
             if old_cost is None:
                 entries.append(LinkEntry(EntryOp.ADD, h, t, cost))
             elif old_cost != cost:
                 entries.append(LinkEntry(EntryOp.CHANGE, h, t, cost))
         pred_get = pred.get
-        for link in old_links:
-            if pred_get(link[1]) != link[0]:
-                entries.append(LinkEntry(EntryOp.DELETE, *link))
-        changes = tuple(entries)
-        if changes:
-            # Patching the main table with its own diff entries (all
-            # touching distinct links) lands it exactly at the tree, at
-            # O(changes) instead of an O(tree) rebuild.
-            old.apply(changes)
-            if self.INCREMENTAL:
-                # Freeze the new tree for flooding.  The previous
-                # restricted view had one entry (self) iff the previous
-                # tree was empty, in which case the diff entries also
-                # reconstruct the tree from scratch.
-                prev_flood = self._flood_dist
-                prev_get = prev_flood.get
-                changed_rows = {
-                    j for j, v in flood.items() if prev_get(j) != v
-                }
-                for j in prev_flood:
-                    if j not in flood:
-                        changed_rows.add(j)
-                prev_version = self._table_version
-                self._table_version += 1
-                self._snap = FrozenTree(
-                    version=self._table_version,
-                    prev_version=prev_version,
-                    applies_to_empty=len(prev_flood) == 1,
-                    dist=flood,
-                    changed_rows=changed_rows,
-                    by_head=by_head,
-                    nodes=flood,
-                    n_links=n_links,
-                )
-                self._flood_dist = flood
+        for h, t in old:
+            if pred_get(t) != h:
+                entries.append(LinkEntry(EntryOp.DELETE, h, t))
         self.distances = dist
         self._pred = pred
         self._distances_recomputed(None)
+        changes = tuple(entries)
+        if changes:
+            prev_flood = old.dist
+            prev_get = prev_flood.get
+            changed_rows = {j for j, v in flood.items() if prev_get(j) != v}
+            for j in prev_flood:
+                if j not in flood:
+                    changed_rows.add(j)
+            self.main_table = old.patched(
+                changes, dist=flood, changed_rows=changed_rows
+            )
         return changes
 
     def _mtu_patch(self, rank, changed, joined, left):
@@ -484,7 +482,8 @@ class PDARouter:
         ``(pred[t], t)`` can only appear, vanish or change cost where
         ``t``'s predecessor moved or a re-sourced link is its tree link,
         so those are the only diff entries — emitted without a pass over
-        the tree — and the flooded snapshot is patched copy-on-write.
+        the tree — and the main table's next snapshot is patched
+        copy-on-write.
         """
         if not (changed or joined or left):
             self._distances_recomputed([])
@@ -501,7 +500,7 @@ class PDARouter:
             joined,
             left,
         )
-        self._distances_recomputed(moved)
+        self._distances_recomputed(moved, left)
         radj = self._radj
         entries: list[LinkEntry] = []
         deletes: list[LinkEntry] = []
@@ -518,11 +517,11 @@ class PDARouter:
             return ()
         entries.extend(deletes)
         changes = tuple(entries)
-        self.main_table.apply(changes)
 
         # Only tree nodes (plus self) are flooded, so the restricted
         # view moves exactly where a distance or a predecessor moved.
-        prev_flood = self._flood_dist
+        old = self.main_table
+        prev_flood = old.dist
         flood = dict(prev_flood)
         changed_rows: set[NodeId] = set()
         for t in itertools.chain(moved, repointed):
@@ -534,16 +533,7 @@ class PDARouter:
                 if prev_flood.get(t) != d:
                     flood[t] = d
                     changed_rows.add(t)
-        # A full MTU always runs first (``_mtu_full`` starts True) and
-        # its tree holds the adjacent links, so a snapshot exists.
-        self._table_version += 1
-        self._snap = self._snap.patched(
-            changes,
-            version=self._table_version,
-            dist=flood,
-            changed_rows=changed_rows,
-        )
-        self._flood_dist = flood
+        self.main_table = old.patched(changes, dist=flood, changed_rows=changed_rows)
         return changes
 
     def _mtu_rebuild(self, up, rank) -> None:
@@ -725,9 +715,9 @@ class PDARouter:
 
         The snapshot rides along whenever the entries are the diff MTU
         just flooded — ``_broadcast`` is only reached straight after a
-        changed MTU, which refreshed ``_snap`` to the post-diff tree.
+        changed MTU, which made ``main_table`` the post-diff snapshot.
         """
-        snapshot = self._snap if self.INCREMENTAL else None
+        snapshot = self.main_table if self.INCREMENTAL else None
         for nbr in self.link_costs:
             self._send(
                 nbr,

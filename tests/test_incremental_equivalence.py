@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.core.allocation import ah, ah_batch, ih, ih_batch
 from repro.core.driver import ProtocolDriver
 from repro.core.linkstate import (
+    INFINITY,
     EntryOp,
     FrozenTree,
     LinkEntry,
@@ -24,7 +25,9 @@ from repro.core.linkstate import (
 )
 from repro.core.mpda import MPDARouter
 from repro.core.pda import PDARouter
+from repro.core.transport import FaultyChannel, ReliableTransport
 from repro.graph.generators import waxman
+from repro.graph.shortest_paths import rank_nodes
 from repro.graph.topologies import cairn, net1
 from repro.testing.fuzz import build_topology, generate_case
 
@@ -335,14 +338,16 @@ def test_snapshot_desync_falls_back_to_entries():
 
 
 class _SnapshotChecked(MPDARouter):
-    """MPDA checking the flooded snapshot after every changed MTU.
+    """MPDA checking its main table after every changed MTU.
 
-    The MTU tail builds its FrozenTree itself — inline after a full
-    Dijkstra, copy-on-write after an incremental tree update.  Either
-    way it must agree with the documented :meth:`FrozenTree.from_tree`
-    construction and with the router's own main table, and the previous
-    snapshot (which receivers may still hold, and which shares groups
-    with the new one) must come out untouched.
+    The main table *is* the flooded snapshot, built copy-on-write by the
+    MTU tail.  It is held to two references that do not read it: the
+    tree read off the router's own predecessor map, and what an
+    entry-replaying receiver holds (the previous snapshot thawed, with
+    the LSU's entries applied).  It must also agree with the documented
+    :meth:`FrozenTree.from_tree` construction, and the previous snapshot
+    (which receivers may still hold, and which shares groups with the
+    new one) must come out untouched.
     """
 
     checked = 0
@@ -353,33 +358,37 @@ class _SnapshotChecked(MPDARouter):
         return super()._mtu_patch(*args)
 
     def _mtu(self):
-        prev_flood = self._flood_dist
-        prev = self._snap
-        prev_state = None if prev is None else (prev.links(), dict(prev.dist))
+        prev = self.main_table
+        prev_state = (prev.links(), dict(prev.dist))
         changes = super()._mtu()
         if not changes:
+            assert self.main_table is prev
             return changes
-        snap = self._snap
-        tree = self.main_table.links()
+        snap = self.main_table
+        tree = {
+            (h, t): self._radj[t][h] for t, h in self._pred.items() if h is not None
+        }
+        replayed = prev.thaw()
+        replayed.apply(changes)
+        assert replayed.links() == tree
         assert snap.links() == tree
         assert len(snap) == len(tree)
-        assert snap.dist is self._flood_dist
-        assert snap.prev_version == (0 if prev is None else prev.version)
+        assert snap.version == prev.version + 1
+        assert snap.prev_version == prev.version
         rebuilt = FrozenTree.from_tree(
             tree,
             self.node_id,
             self.distances,
             version=snap.version,
             prev_version=snap.prev_version,
-            applies_to_empty=len(prev_flood) == 1,
-            prev_flood=prev_flood,
+            applies_to_empty=len(prev.dist) == 1,
+            prev_flood=prev.dist,
         )
         assert rebuilt.dist == snap.dist
         assert rebuilt.changed_rows == snap.changed_rows
         assert rebuilt.applies_to_empty == snap.applies_to_empty
         assert set(rebuilt.nodes_view()) == set(snap.nodes_view())
-        if prev is not None:
-            assert (prev.links(), prev.dist) == prev_state
+        assert (prev.links(), prev.dist) == prev_state
         type(self).checked += 1
         return changes
 
@@ -404,6 +413,109 @@ def test_fused_mtu_snapshot_matches_from_tree():
         assert router_cls.checked > len(driver.routers)
         # The incremental tree update (not only full rebuilds) was checked.
         assert router_cls.patched > 0
+
+
+class _FDChecked(MPDARouter):
+    """MPDA checking every feasible-distance fold and universe update.
+
+    After each step-2b lowering and step-3c reset, ``feasible_distance``
+    must equal the full-scan rule evaluated on copies of the pre-call
+    state (for the reset: the distances right before its MTU), and the
+    lag set must list exactly the destinations whose FD differs from
+    their distance.  After each incremental MTU the distance map must
+    cover exactly the merged node universe, ranked as from scratch.
+    """
+
+    lowerings = 0
+    lag_resets = 0
+    patches = 0
+
+    def _mtu(self):
+        self._checked_before = dict(self.distances)
+        return super()._mtu()
+
+    def _lower_feasible_distances(self):
+        expected = dict(self.feasible_distance)
+        for j, d in self.distances.items():
+            if j != self.node_id and d < expected.get(j, INFINITY):
+                expected[j] = d
+        super()._lower_feasible_distances()
+        assert self.feasible_distance == expected
+        self._assert_lag_exact()
+        type(self).lowerings += 1
+
+    def _reset_feasible_distances(self):
+        before, after = self._checked_before, self.distances
+        expected = {}
+        for j in before.keys() | after.keys():
+            fd = min(before.get(j, INFINITY), after.get(j, INFINITY))
+            if j != self.node_id and fd < INFINITY:
+                expected[j] = fd
+        lagged = self._fd_moved is not None
+        super()._reset_feasible_distances()
+        assert self.feasible_distance == expected
+        self._assert_lag_exact()
+        type(self).lag_resets += lagged
+
+    def _assert_lag_exact(self):
+        dist = self.distances
+        assert self._fd_lag == {
+            j: dist.get(j, INFINITY)
+            for j, fd in self.feasible_distance.items()
+            if fd != dist.get(j, INFINITY)
+        }
+
+    def _mtu_patch(self, *args):
+        changes = super()._mtu_patch(*args)
+        universe = self._universe()
+        assert set(self.distances) == set(universe)
+        assert self._rank == rank_nodes(universe)
+        type(self).patches += 1
+        return changes
+
+
+def _fd_checked_run(topo, transport=None, pump=0):
+    """Cold start, a failover window and a cost change under
+    :class:`_FDChecked`; ``pump`` deliveries run before each disturbance
+    settles, so events also land while routers are ACTIVE."""
+    router_cls = type("Checked", (_FDChecked,), {})
+    driver = ProtocolDriver(topo, router_cls, seed=0, transport=transport)
+    costs = topo.idle_marginal_costs()
+    driver.start(costs)
+    driver.run()
+    a, b = next(iter(topo.links())).link_id
+    driver.fail_link(a, b)
+    for _ in range(pump):
+        driver.step()
+    others = [link for link in costs if {*link} != {a, b}]
+    driver.set_costs({link: costs[link] * 1.3 for link in others[4:8]})
+    driver.run()
+    driver.restore_link(a, b, costs[(a, b)], costs[(b, a)])
+    driver.run()
+    driver.set_costs({link: c * 1.7 for link, c in list(costs.items())[:4]})
+    driver.run()
+    driver.verify_converged()
+    return router_cls
+
+
+@pytest.mark.parametrize("make_topo", [net1, lambda: waxman(40, seed=2)])
+def test_fd_reset_and_universe_match_full_scan(make_topo):
+    """The lag-set reset, the moved-only lowering and the universe read
+    off dirty rows agree with their full-scan rules after every call."""
+    router_cls = _fd_checked_run(make_topo(), pump=5)
+    # The lag-set path (not only full scans after rebuilds) was checked.
+    assert router_cls.lag_resets > 0
+    assert router_cls.lowerings > 0
+    assert router_cls.patches > 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fd_reset_matches_full_scan_over_faulty_channel(seed):
+    """The same checks with retransmitted, reordered and duplicated
+    frames underneath the reliable transport."""
+    channel = FaultyChannel(seed=seed, loss=0.2, dup=0.2, reorder=0.3)
+    router_cls = _fd_checked_run(net1(), transport=ReliableTransport(channel), pump=3)
+    assert router_cls.lag_resets > 0
 
 
 # ----------------------------------------------------------------------
