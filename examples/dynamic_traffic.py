@@ -19,10 +19,12 @@ from repro import (
     QuasiStaticConfig,
     bursty_scenario,
     net1_scenario,
-    run_packet_level,
-    run_quasi_static,
+    run,
 )
 from repro.units import ms
+
+#: (plot key, routing policy, AH damping) for each compared scheme.
+RUNS = (("MP", "mp-oracle", 0.5), ("SP", "sp", 1.0))
 
 
 def main() -> None:
@@ -34,33 +36,31 @@ def main() -> None:
 
     print("Fluid (quasi-static) engine, 300 s:")
     fluid = {}
-    for label, limit in (("MP", None), ("SP", 1)):
-        run = run_quasi_static(
+    for label, policy, damping in RUNS:
+        result = run(
             scenario,
             QuasiStaticConfig(
                 tl=10, ts=2, duration=300.0, warmup=60.0,
-                successor_limit=limit,
-                damping=0.5 if limit is None else 1.0,
+                policy=policy, damping=damping,
             ),
         )
-        fluid[label] = ms(run.mean_average_delay())
+        fluid[label] = ms(result.mean_average_delay())
         print(f"  {label}: {fluid[label]:7.2f} ms network mean delay")
     print(f"  SP/MP ratio: {fluid['SP'] / fluid['MP']:.2f}x")
     print()
 
     print("Packet-level engine, 60 s (every packet simulated):")
     packet = {}
-    for label, limit in (("MP", None), ("SP", 1)):
-        run = run_packet_level(
+    for label, policy, damping in RUNS:
+        result = run(
             scenario,
             PacketRunConfig(
                 tl=10, ts=2, duration=60.0,
-                successor_limit=limit,
-                damping=0.5 if limit is None else 1.0,
+                policy=policy, damping=damping,
                 seed=11,
             ),
         )
-        packet[label] = ms(run.records[0].average_delay)
+        packet[label] = ms(result.records[0].average_delay)
         print(f"  {label}: {packet[label]:7.2f} ms mean delivered delay")
     print(f"  SP/MP ratio: {packet['SP'] / packet['MP']:.2f}x")
     print()

@@ -24,12 +24,12 @@ speed when nobody is watching.
 Typical use::
 
     with obs.observe(trace_path="run.jsonl") as ob:
-        result = run_quasi_static(scenario, config)
+        result = run(scenario, config)
     export.write_metrics("metrics.json", ob)
 
-When an observation is active, quasi-static and packet runs upgrade
-``mode="oracle"`` to ``mode="protocol"`` (for the paper's LFI path
-rule, on stable topologies) so control-plane metrics — per-router LSU
+When an observation is active, the oracle-backed LFI policies
+(``mp-oracle``, ``sp``) run the live MPDA protocol instead of computing
+the converged sets directly, so control-plane metrics — per-router LSU
 counts, ACK round-trips, ACTIVE-phase durations — are measured from the
 live MPDA exchange rather than synthesized.  Theorem 4 guarantees (and
 the test suite verifies) that both backends converge to identical

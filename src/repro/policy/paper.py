@@ -14,6 +14,9 @@ the committed converge/packet fixtures stay byte-identical.
   session wants control-plane metrics;
 - ``sp`` — the paper's single-path baseline (``successor_limit=1``);
 - ``ecmp`` / ``ecmp-hop`` — the OSPF-style equal-cost baselines.
+
+The successor-count ablation (Fig. ABL2) is ``mp-oracle`` with
+``policy_params={"successor_limit": k}``.
 """
 
 from __future__ import annotations
@@ -61,11 +64,6 @@ class MPFamilyPolicy(RoutingPolicy):
     def initialize(self, scenario, config) -> None:
         self.topo = scenario.topo
         self.destinations = scenario.mean_traffic().destinations()
-        limit = (
-            self._successor_limit
-            if self._successor_limit is not None
-            else config.successor_limit
-        )
         mode = self._effective_mode()
         transport = None
         if self._loss > 0.0:
@@ -81,7 +79,7 @@ class MPFamilyPolicy(RoutingPolicy):
         self._mpr = MPRouting(
             scenario.topo,
             self.destinations,
-            successor_limit=limit,
+            successor_limit=self._successor_limit,
             mode=mode,
             path_rule=self.path_rule,
             damping=config.damping,
@@ -166,10 +164,6 @@ class MPProtocolPolicy(MPFamilyPolicy):
     )
     mode = "protocol"
 
-    @classmethod
-    def normalize_config(cls, config) -> None:
-        config.mode = "protocol"
-
 
 @register
 class MPOraclePolicy(MPFamilyPolicy):
@@ -179,10 +173,6 @@ class MPOraclePolicy(MPFamilyPolicy):
         "sets computed directly"
     )
     mode = "oracle"
-
-    @classmethod
-    def normalize_config(cls, config) -> None:
-        config.mode = "oracle"
 
 
 @register
@@ -197,16 +187,6 @@ class SPPolicy(MPFamilyPolicy):
     def __init__(self) -> None:
         super().__init__(successor_limit=1)
 
-    @classmethod
-    def normalize_config(cls, config) -> None:
-        if config.successor_limit not in (None, 1):
-            raise ConfigError(
-                "policy 'sp' is the successor_limit=1 baseline; got "
-                f"successor_limit={config.successor_limit!r}"
-            )
-        config.mode = "oracle"
-        config.successor_limit = 1
-
 
 @register
 class ECMPPolicy(MPFamilyPolicy):
@@ -217,17 +197,6 @@ class ECMPPolicy(MPFamilyPolicy):
     )
     mode = "oracle"
     path_rule = "ecmp"
-
-    @classmethod
-    def normalize_config(cls, config) -> None:
-        config.mode = "oracle"
-        if hasattr(config, "path_rule"):
-            config.path_rule = cls.path_rule
-        elif cls.path_rule != "lfi":
-            raise ConfigError(
-                f"policy {cls.name!r} needs a fluid-plane config "
-                "(QuasiStaticConfig) carrying path_rule"
-            )
 
 
 @register

@@ -15,17 +15,8 @@ import pytest
 from repro.bench.convergence import pick_failure_link
 from repro.exceptions import ConfigError
 from repro.graph.validation import assert_loop_free
-from repro.policy import (
-    available_policies,
-    create_policy,
-    policy_class,
-    policy_name_for_config,
-)
-from repro.sim.control import (
-    QuasiStaticConfig,
-    RunConfig,
-    TwoTimescaleController,
-)
+from repro.policy import available_policies, create_policy, policy_class
+from repro.sim.control import QuasiStaticConfig, TwoTimescaleController
 from repro.sim.scenario import cairn_scenario, with_failures
 
 ALL_POLICIES = sorted(available_policies())
@@ -81,40 +72,11 @@ class TestRegistry:
 
 
 class TestConfigValidation:
-    """Satellite: unknown mode/policy strings fail loudly at config time."""
+    """Unknown policy names fail loudly at config time."""
 
     def test_unknown_policy_raises_config_error(self):
         with pytest.raises(ConfigError, match="known policies"):
             QuasiStaticConfig(policy="bogus")
-
-    def test_unknown_mode_raises_config_error(self):
-        with pytest.raises(ConfigError, match="unknown routing mode"):
-            RunConfig(mode="bogus")
-
-    def test_unknown_path_rule_raises_config_error(self):
-        with pytest.raises(ConfigError, match="unknown path rule"):
-            QuasiStaticConfig(path_rule="bogus")
-
-    def test_legacy_fields_derive_the_policy(self):
-        assert QuasiStaticConfig().policy == "mp-oracle"
-        assert QuasiStaticConfig(successor_limit=1).policy == "sp"
-        assert QuasiStaticConfig(mode="protocol").policy == "mp"
-        assert QuasiStaticConfig(path_rule="ecmp").policy == "ecmp"
-        assert QuasiStaticConfig(path_rule="ecmp-hop").policy == "ecmp-hop"
-
-    def test_policy_names_backfill_legacy_fields(self):
-        sp = QuasiStaticConfig(policy="sp")
-        assert sp.successor_limit == 1 and sp.mode == "oracle"
-        assert sp.label.startswith("SP-TL-")
-        mp = QuasiStaticConfig(policy="mp")
-        assert mp.mode == "protocol"
-        assert mp.label.startswith("MP-TL-")
-        ecmp = QuasiStaticConfig(policy="ecmp")
-        assert ecmp.path_rule == "ecmp"
-
-    def test_sp_rejects_contradictory_successor_limit(self):
-        with pytest.raises(ConfigError, match="successor_limit=1"):
-            QuasiStaticConfig(policy="sp", successor_limit=3)
 
     def test_non_paper_policies_get_generic_labels(self):
         assert (
@@ -124,14 +86,6 @@ class TestConfigValidation:
             QuasiStaticConfig(policy="backpressure-lr", tl=20.0, ts=4.0).label
             == "BACKPRESSURE-LR-TL-20"
         )
-
-    def test_derivation_function_rejects_unknown_mode(self):
-        class Legacy:
-            mode = "chaotic"
-            successor_limit = None
-
-        with pytest.raises(ConfigError, match="unknown routing mode"):
-            policy_name_for_config(Legacy())
 
 
 # ----------------------------------------------------------------------

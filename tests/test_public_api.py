@@ -14,7 +14,7 @@ class TestPublicAPI:
     def test_quickstart_snippet_runs(self):
         """The docstring's quick-start recipe must actually work."""
         scenario = repro.net1_scenario(load=1.0)
-        mp = repro.run_quasi_static(
+        mp = repro.run(
             scenario,
             repro.QuasiStaticConfig(
                 tl=10, ts=2, duration=60, warmup=20, damping=0.5

@@ -36,6 +36,21 @@ from repro.sim.scenario import (
 
 CONFIG_CLASSES = [RunConfig, QuasiStaticConfig, PacketRunConfig]
 
+#: (policy, policy_params, tl, fluid-plane label) at ts=2; the packet
+#: plane appends "(pkt)".
+LABEL_CASES = [
+    ("mp-oracle", {}, 10, "MP-TL-10-TS-2"),
+    ("mp", {}, 10, "MP-TL-10-TS-2"),
+    ("sp", {}, 20, "SP-TL-20"),
+    ("mp-oracle", {"successor_limit": 2}, 10, "MP2-TL-10-TS-2"),
+    ("mp-oracle", {"successor_limit": 3}, 10, "MP3-TL-10-TS-2"),
+    ("mp-oracle", {"successor_limit": 1}, 10, "SP-TL-10"),
+    ("mp", {"successor_limit": 2}, 10, "MP2-TL-10-TS-2"),
+    ("ecmp", {}, 10, "ECMP-TL-10-TS-2"),
+    ("ecmp-hop", {}, 10, "ECMP-HOP"),
+    ("ecmp-k", {}, 10, "ECMP-K-TL-10"),
+]
+
 
 @pytest.fixture
 def diamond_scenario(diamond):
@@ -88,16 +103,18 @@ class TestSharedValidation:
         assert len(set(errors)) == 1
 
     def test_labels(self):
-        assert QuasiStaticConfig(tl=10, ts=2).label == "MP-TL-10-TS-2"
-        assert PacketRunConfig(tl=10, ts=2).label == "MP-TL-10-TS-2(pkt)"
-        assert (
-            PacketRunConfig(tl=10, ts=2, successor_limit=1).label
-            == "SP-TL-10(pkt)"
-        )
-        assert (
-            QuasiStaticConfig(tl=10, ts=2, path_rule="ecmp").label
-            == "ECMP-TL-10-TS-2"
-        )
+        """Both config types key a run by its policy and its params."""
+        for config_cls, suffix in (
+            (QuasiStaticConfig, ""),
+            (PacketRunConfig, "(pkt)"),
+        ):
+            labels = [
+                config_cls(
+                    tl=tl, ts=2, policy=policy, policy_params=dict(params)
+                ).label
+                for policy, params, tl, _ in LABEL_CASES
+            ]
+            assert labels == [label + suffix for *_, label in LABEL_CASES]
 
 
 class TestPlaneSelection:
@@ -112,6 +129,21 @@ class TestPlaneSelection:
         assert fluid.plane == "fluid"
         assert packet.plane == "packet"
         assert len(packet.records) == 4  # one per Ts window
+
+    @pytest.mark.parametrize(
+        "policy, label",
+        [("ecmp", "ECMP-TL-4-TS-2(pkt)"), ("ecmp-hop", "ECMP-HOP(pkt)")],
+    )
+    def test_ecmp_baselines_run_on_packet_plane(
+        self, diamond_scenario, policy, label
+    ):
+        result = run(
+            diamond_scenario,
+            PacketRunConfig(tl=4, ts=2, duration=8.0, policy=policy),
+        )
+        assert result.plane == "packet"
+        assert result.label == label
+        assert result.mean_flow_delays()["hot"] > 0.0
 
     def test_explicit_plane_override(self, diamond_scenario):
         config = PacketRunConfig(tl=4, ts=2, duration=8.0)
