@@ -60,7 +60,7 @@ def main() -> None:
                 seed=11,
             ),
         )
-        packet[label] = ms(result.records[0].average_delay)
+        packet[label] = ms(result.mean_average_delay())
         print(f"  {label}: {packet[label]:7.2f} ms mean delivered delay")
     print(f"  SP/MP ratio: {packet['SP'] / packet['MP']:.2f}x")
     print()

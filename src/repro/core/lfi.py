@@ -45,7 +45,10 @@ def check_lfi(
     reported: Mapping[NodeId, Mapping[NodeId, float]],
     successors: Mapping[NodeId, set[NodeId]],
 ) -> None:
-    """Verify Eqs. (16)-(17) and acyclicity for one destination.
+    """Verify Eq. (17) and acyclicity for one destination's state maps.
+
+    Live routers are checked by :func:`repro.core.mpda.check_safety`,
+    which adds Eq. (16) and gives the same messages.
 
     Args:
         destination: the destination *j*.
@@ -61,25 +64,44 @@ def check_lfi(
         known = reported.get(router, {})
         succ = successors.get(router, set())
         for nbr in succ:
-            if nbr not in known:
-                raise LFIViolation(
-                    f"router {router!r}: successor {nbr!r} has no reported "
-                    f"distance to {destination!r}"
-                )
-            if not known[nbr] < fd:
-                raise LFIViolation(
-                    f"router {router!r}: successor {nbr!r} has "
-                    f"D_jk = {known[nbr]!r} >= FD = {fd!r} "
-                    f"(Eq. 17 violated for destination {destination!r})"
+            if nbr not in known or not known[nbr] < fd:
+                raise eq17_violation(
+                    router, nbr, destination, known.get(nbr), fd
                 )
     cycle = find_successor_cycle(
         {router: list(succ) for router, succ in successors.items()}
     )
     if cycle is not None:
-        raise LFIViolation(
-            f"successor graph for {destination!r} has cycle {cycle!r} "
-            "(Theorem 1 violated)"
+        raise cycle_violation(destination, cycle)
+
+
+def eq17_violation(
+    router: NodeId,
+    nbr: NodeId,
+    destination: NodeId,
+    reported: float | None,
+    fd: float,
+) -> LFIViolation:
+    """The error for successor ``nbr`` of ``router`` failing Eq. (17):
+    no reported distance (``reported is None``) or not below ``fd``."""
+    if reported is None:
+        return LFIViolation(
+            f"router {router!r}: successor {nbr!r} has no reported "
+            f"distance to {destination!r}"
         )
+    return LFIViolation(
+        f"router {router!r}: successor {nbr!r} has "
+        f"D_jk = {reported!r} >= FD = {fd!r} "
+        f"(Eq. 17 violated for destination {destination!r})"
+    )
+
+
+def cycle_violation(destination: NodeId, cycle: list[NodeId]) -> LFIViolation:
+    """The error for a successor-graph cycle toward ``destination``."""
+    return LFIViolation(
+        f"successor graph for {destination!r} has cycle {cycle!r} "
+        "(Theorem 1 violated)"
+    )
 
 
 def lfi_successors(

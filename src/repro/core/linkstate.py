@@ -303,13 +303,6 @@ class TopologyTable:
                         stack.append(tail)
         return True, changed
 
-    def clear(self) -> None:
-        self._links.clear()
-        self._by_head.clear()
-        self._node_refs.clear()
-        self._in_links.clear()
-        self._multi_in = 0
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -320,10 +313,6 @@ class TopologyTable:
     def links(self) -> dict[LinkId, float]:
         """All links as a plain cost map (a copy)."""
         return dict(self._links)
-
-    def links_with_head(self, head: NodeId) -> dict[LinkId, float]:
-        """The links leaving ``head`` — what MTU copies per node."""
-        return dict(self._by_head.get(head, ()))
 
     def links_with_head_view(self, head: NodeId) -> Mapping[LinkId, float]:
         """Read-only view of the links leaving ``head`` (no copy).
@@ -379,47 +368,6 @@ class TopologyTable:
                     stack.append(tail)
             return dist
         return dijkstra(self._links, root, nodes=nodes)[0]
-
-    def copy(self) -> "TopologyTable":
-        return TopologyTable(self._links)
-
-    def diff(self, new: "TopologyTable") -> tuple[LinkEntry, ...]:
-        """LSU entries that transform this table into ``new``.
-
-        This is MTU step 8: "Compare oldT with T and note all
-        differences."
-        """
-        return self.diff_links(new._links)
-
-    def diff_links(
-        self, new_links: Mapping[LinkId, float]
-    ) -> tuple[LinkEntry, ...]:
-        """LSU entries that transform this table into a plain link map.
-
-        Same comparison as :meth:`diff` without requiring the target to
-        be wrapped in a table — MTU diffs its freshly computed tree and
-        then :meth:`apply`\\ s the entries to patch the main table in
-        place rather than rebuilding it.
-        """
-        entries: list[LinkEntry] = []
-        links = self._links
-        for link_id, cost in new_links.items():
-            old_cost = links.get(link_id)
-            if old_cost is None:
-                entries.append(LinkEntry(EntryOp.ADD, *link_id, cost))
-            elif old_cost != cost:
-                entries.append(LinkEntry(EntryOp.CHANGE, *link_id, cost))
-        for link_id in links:
-            if link_id not in new_links:
-                entries.append(LinkEntry(EntryOp.DELETE, *link_id))
-        return tuple(entries)
-
-    def full_dump(self) -> tuple[LinkEntry, ...]:
-        """ADD entries for every link — sent to a newly-up neighbor."""
-        return tuple(
-            LinkEntry(EntryOp.ADD, head, tail, cost)
-            for (head, tail), cost in self._links.items()
-        )
 
     def __len__(self) -> int:
         return len(self._links)

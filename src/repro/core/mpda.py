@@ -30,11 +30,12 @@ import enum
 import itertools
 from collections.abc import Mapping
 
-from repro.core.lfi import check_lfi
+from repro.core.lfi import LFIViolation, cycle_violation, eq17_violation
 from repro.core.linkstate import INFINITY, LSUMessage
 from repro.core.pda import PDARouter
 from repro.exceptions import LoopError
 from repro.graph.topology import NodeId
+from repro.graph.validation import find_successor_cycle
 
 
 class RouterState(enum.Enum):
@@ -427,7 +428,8 @@ def check_safety(
 ) -> None:
     """Machine-check Theorem 3 over live router states.
 
-    Verifies, for each destination (or just ``destination``):
+    Verifies, for each destination (or just ``destination``), with
+    :func:`check_destination`:
 
     1. Eq. (17): every successor's reported distance is below the
        router's feasible distance;
@@ -439,68 +441,139 @@ def check_safety(
     Raises:
         LFIViolation / LoopError: if the invariant is broken.
     """
-    destinations: set[NodeId] = set()
+    views = safety_views(routers)
     if destination is not None:
-        destinations.add(destination)
+        destinations = {destination}
     else:
-        for router in routers.values():
-            destinations.update(router.successor_sets)
-
+        destinations = set()
+        for view in views.values():
+            destinations.update(view[1])
     for j in destinations:
-        feasible = {
-            i: router.feasible_distance.get(j, INFINITY)
-            for i, router in routers.items()
-            if i != j
-        }
-        reported = {
-            i: {
-                k: router.neighbor_distance(k, j)
-                for k in router.up_neighbors()
-            }
-            for i, router in routers.items()
-        }
-        successors = {
-            i: router.successors(j) for i, router in routers.items()
-        }
-        check_destination(j, feasible, reported, successors)
+        check_destination(views, j)
 
 
-def check_destination(
-    j: NodeId,
-    feasible: Mapping[NodeId, float],
-    reported: Mapping[NodeId, Mapping[NodeId, float]],
-    successors: Mapping[NodeId, set[NodeId]],
-) -> None:
+#: One router's live state as :func:`check_destination` reads it:
+#: ``(feasible_distance, successor_sets, nbr_distances, link_costs,
+#: peers)``, where ``peers`` lists ``(k, row)`` for each up neighbor
+#: ``k`` that holds a distance row ``row`` of this router (``row[j]`` is
+#: this router's distance to ``j`` as ``k`` knows it).
+SafetyView = tuple[
+    dict[NodeId, float],
+    dict[NodeId, set[NodeId]],
+    dict[NodeId, dict[NodeId, float]],
+    dict[NodeId, float],
+    list[tuple[NodeId, dict[NodeId, float]]],
+]
+
+
+def safety_views(
+    routers: Mapping[NodeId, MPDARouter],
+) -> dict[NodeId, SafetyView]:
+    """Read each router's live state once, for any number of
+    :func:`check_destination` calls against the unchanged network.
+
+    The views alias the routers' own dicts; nothing is copied.
+    """
+    views = {}
+    for i, router in routers.items():
+        views[i] = (
+            router.feasible_distance,
+            router.successor_sets,
+            router.nbr_distances,
+            router.link_costs,
+            [],
+        )
+    for i, (_, _, _, links, peers) in views.items():
+        for k in links:
+            peer = views.get(k)
+            if peer is not None and i in peer[3]:
+                row = peer[2].get(i)
+                if row is not None:
+                    peers.append((k, row))
+    return views
+
+
+def check_destination(views: Mapping[NodeId, SafetyView], j: NodeId) -> None:
     """The per-destination body of :func:`check_safety`.
 
-    Takes the extracted state maps instead of live routers, so callers
-    that cache those maps (the incremental invariant auditor) can verify
-    a single destination without touching every router:
+    ``views`` come from :func:`safety_views`.  Checks Eq. (17) at every
+    router in ``views`` order, then acyclicity, then Eq. (16), and
+    raises the first violation.
 
-    - ``feasible[i]``: :math:`FD^i_j` (no entry for ``i == j``);
-    - ``reported[i][k]``: :math:`D^i_{jk}` for each up neighbor ``k``;
-    - ``successors[i]``: :math:`S^i_j`.
+    Acyclicity is decided by a certificate first: when every successor
+    edge ``i -> k`` strictly lowers the feasible distance
+    (:math:`FD^k_j < FD^i_j`, the destination ranking below everything
+    and routers outside ``views`` being sinks), the nodes are strictly
+    ordered along every edge and the graph has no cycle.  Eqs. (16) and
+    (17) together imply the certificate (Theorem 1's argument), but it
+    is tested here on its own, not assumed; only when some edge fails
+    the test does :func:`~repro.graph.validation.find_successor_cycle`
+    search the graph, given the same input as :meth:`MPDARouter.successors`
+    copies would build.
+
+    A violating router's successors are re-walked in the order of a
+    copy of its set, so the message names the same successor whatever
+    the live set's iteration order.
 
     Raises:
         LFIViolation / LoopError: if the invariant is broken.
     """
-    check_lfi(j, feasible, reported, successors)
-
-    # Eq. (16) cross-check: FD_j^i <= (i's distance to j as held at
-    # every neighbor k).  reported[i]'s keys are exactly i's up
-    # neighbors, so the neighbor walk needs no router access.
-    for i, fd in feasible.items():
-        if fd == INFINITY:
+    inf = INFINITY
+    ordered = True  # the FD-order certificate holds so far
+    eq16 = None  # the first Eq. (16) violation, raised after acyclicity
+    for i, (feasible, succ_sets, rows, links, peers) in views.items():
+        if i == j:
+            if succ_sets.get(j):
+                ordered = False  # the destination is no sink
             continue
-        for k in reported.get(i, ()):
-            peer_view = reported.get(k)
-            if peer_view is None:
-                continue
-            held = peer_view.get(i)
-            if held is None:
-                continue
-            if fd > held + 1e-12:
-                raise LoopError(
-                    f"router {i!r}: FD to {j!r} is {fd!r} but neighbor "
-                    f"{k!r} holds distance {held!r} (Eq. 16 violated)"
-                )
+        fd = feasible.get(j, inf)
+        succ = succ_sets.get(j)
+        if succ:
+            for k in succ:
+                if k == j:
+                    d = 0.0
+                else:
+                    row = rows.get(k)
+                    d = inf if row is None else row.get(j, inf)
+                    if ordered:
+                        peer = views.get(k)
+                        if peer is not None and not peer[0].get(j, inf) < fd:
+                            ordered = False
+                if not d < fd or k not in links:
+                    raise _first_eq17_violation(i, j, fd, succ, rows, links)
+        if eq16 is None and fd != inf:
+            for k, row in peers:
+                held = row.get(j, inf)
+                if fd > held + 1e-12:
+                    eq16 = LoopError(
+                        f"router {i!r}: FD to {j!r} is {fd!r} but neighbor "
+                        f"{k!r} holds distance {held!r} (Eq. 16 violated)"
+                    )
+                    break
+    if not ordered:
+        cycle = find_successor_cycle(
+            {i: list(set(view[1].get(j, ()))) for i, view in views.items()}
+        )
+        if cycle is not None:
+            raise cycle_violation(j, cycle)
+    if eq16 is not None:
+        raise eq16
+
+
+def _first_eq17_violation(
+    i: NodeId,
+    j: NodeId,
+    fd: float,
+    succ: set[NodeId],
+    rows: Mapping[NodeId, Mapping[NodeId, float]],
+    links: Mapping[NodeId, float],
+) -> LFIViolation:
+    """The first Eq. (17) failure among ``succ``, in the order of a copy
+    of the set (what :meth:`MPDARouter.successors` returns)."""
+    for k in set(succ):
+        if k not in links:
+            return eq17_violation(i, k, j, None, fd)
+        d = 0.0 if k == j else rows.get(k, {}).get(j, INFINITY)
+        if not d < fd:
+            return eq17_violation(i, k, j, d, fd)
+    raise AssertionError("no Eq. 17 violation to report")  # pragma: no cover
